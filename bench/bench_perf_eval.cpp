@@ -1,8 +1,7 @@
 // Evaluation-pipeline micro-benchmarks: the tree interpreter vs the expr
-// bytecode VM vs the native-codegen backend (generated C++, dlopen'ed) on
-// full state-space exploration (every paper strategy's line-2
-// reactive-modules translation, single-threaded so the numbers isolate
-// per-state evaluation cost), and the scalar vs blocked vs SIMD CSR kernels
+// bytecode VM on full state-space exploration (every paper strategy's
+// line-2 reactive-modules translation, single-threaded so the numbers
+// isolate per-state evaluation cost), and the scalar vs blocked CSR kernels
 // on the matvec shapes the numeric core runs (distribution propagation,
 // backward gather, uniformised step).  All comparisons are between
 // bitwise-identical computations — the speedup is pure evaluation
@@ -24,7 +23,6 @@
 #include "arcade/modules_compiler.hpp"
 #include "bench_common.hpp"
 #include "bench_json.hpp"
-#include "expr/codegen.hpp"
 #include "expr/vm.hpp"
 #include "linalg/kernels.hpp"
 #include "modules/explorer.hpp"
@@ -53,25 +51,14 @@ void run_explore(benchmark::State& state, const char* strategy, expr::EvalMode e
     modules::ExploreOptions options;
     options.eval = eval;
     options.threads = 1;  // isolate per-state evaluation cost from sharding
-    // Untimed warm-up: under codegen this pays the one-time out-of-process
-    // unit compile, so the timed loop measures the steady state (content-
-    // addressed cache hit + dlopen per explore, native calls per state).
-    std::size_t states = modules::explore(system, options).state_count();
-    const expr::CodegenCounters cg_before = expr::codegen_counters();
+    std::size_t states = 0;
     for (auto _ : state) {
         states = modules::explore(system, options).state_count();
         benchmark::DoNotOptimize(states);
     }
-    const expr::CodegenCounters cg_after = expr::codegen_counters();
     state.counters["states"] = static_cast<double>(states);
     state.counters["states/s"] = benchmark::Counter(
         static_cast<double>(states), benchmark::Counter::kIsIterationInvariantRate);
-    if (eval == expr::EvalMode::Codegen) {
-        // Honesty counter: non-zero fallbacks would mean the "codegen" rows
-        // actually measured the VM (no toolchain on the bench machine).
-        state.counters["cg_fallbacks"] =
-            static_cast<double>(cg_after.fallbacks - cg_before.fallbacks);
-    }
 }
 
 void BM_ExploreInterp(benchmark::State& state, const char* strategy) {
@@ -80,25 +67,17 @@ void BM_ExploreInterp(benchmark::State& state, const char* strategy) {
 void BM_ExploreVm(benchmark::State& state, const char* strategy) {
     run_explore(state, strategy, expr::EvalMode::Vm);
 }
-void BM_ExploreCodegen(benchmark::State& state, const char* strategy) {
-    run_explore(state, strategy, expr::EvalMode::Codegen);
-}
 
 BENCHMARK_CAPTURE(BM_ExploreInterp, l2_DED, "DED")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreVm, l2_DED, "DED")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExploreCodegen, l2_DED, "DED")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreInterp, l2_FRF1, "FRF-1")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreVm, l2_FRF1, "FRF-1")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExploreCodegen, l2_FRF1, "FRF-1")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreInterp, l2_FRF2, "FRF-2")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreVm, l2_FRF2, "FRF-2")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExploreCodegen, l2_FRF2, "FRF-2")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreInterp, l2_FFF1, "FFF-1")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreVm, l2_FFF1, "FFF-1")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExploreCodegen, l2_FFF1, "FFF-1")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreInterp, l2_FFF2, "FFF-2")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ExploreVm, l2_FFF2, "FFF-2")->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExploreCodegen, l2_FFF2, "FFF-2")->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Kernel comparison on the explored FRF-1 line-2 chain (8129 states).
@@ -158,16 +137,12 @@ void BM_UniformisedRight(benchmark::State& state, linalg::KernelMode mode) {
 
 BENCHMARK_CAPTURE(BM_MatvecLeft, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_MatvecLeft, blocked, linalg::KernelMode::Blocked);
-BENCHMARK_CAPTURE(BM_MatvecLeft, simd, linalg::KernelMode::Simd);
 BENCHMARK_CAPTURE(BM_MatvecRight, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_MatvecRight, blocked, linalg::KernelMode::Blocked);
-BENCHMARK_CAPTURE(BM_MatvecRight, simd, linalg::KernelMode::Simd);
 BENCHMARK_CAPTURE(BM_UniformisedLeft, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_UniformisedLeft, blocked, linalg::KernelMode::Blocked);
-BENCHMARK_CAPTURE(BM_UniformisedLeft, simd, linalg::KernelMode::Simd);
 BENCHMARK_CAPTURE(BM_UniformisedRight, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_UniformisedRight, blocked, linalg::KernelMode::Blocked);
-BENCHMARK_CAPTURE(BM_UniformisedRight, simd, linalg::KernelMode::Simd);
 
 }  // namespace
 

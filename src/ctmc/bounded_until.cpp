@@ -20,6 +20,9 @@ Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
     return chain.make_absorbing(absorbing);
 }
 
+namespace {
+
+/// Probability mass of `dist` inside `set`, summed in ascending state order.
 double mass_in(std::span<const double> dist, const std::vector<bool>& set) {
     double p = 0.0;
     for (std::size_t s = 0; s < dist.size(); ++s) {
@@ -27,6 +30,8 @@ double mass_in(std::span<const double> dist, const std::vector<bool>& set) {
     }
     return p;
 }
+
+}  // namespace
 
 double bounded_until_probability(const Ctmc& chain, std::span<const double> initial,
                                  const std::vector<bool>& phi, const std::vector<bool>& psi,

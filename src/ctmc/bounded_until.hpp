@@ -18,16 +18,9 @@
 namespace arcade::ctmc {
 
 /// The transformed chain the until measures evolve: states in Psi or in
-/// neither Phi nor Psi are made absorbing.  Exposed so batched evaluation
-/// (the sweep fusion pass) can build the very same chain the per-cell path
-/// would and evolve several initial distributions over it at once.
+/// neither Phi nor Psi are made absorbing.
 [[nodiscard]] Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
                                    const std::vector<bool>& psi);
-
-/// Probability mass of `dist` inside `set`, summed in ascending state
-/// order — the exact reduction bounded_until_series applies per grid point
-/// (exposed for the same reason as until_transform).
-[[nodiscard]] double mass_in(std::span<const double> dist, const std::vector<bool>& set);
 
 /// P[Phi U<=t Psi] for every state as initial state... is expensive;
 /// this API computes it for one initial distribution, which is what the

@@ -1,7 +1,6 @@
 #include "engine/session.hpp"
 
 #include "ctmc/steady_state.hpp"
-#include "expr/codegen.hpp"
 #include "graph/lumping.hpp"
 #include "linalg/vector_ops.hpp"
 #include "logic/csl_compiled.hpp"
@@ -51,9 +50,9 @@ std::uint64_t options_key(std::uint64_t model_fp, std::uint64_t encoding,
     fp.mix(reduction);
     fp.mix(lint);
     fp.mix(symmetry);
-    // Every eval mode produces the bitwise-identical chain, but the key
-    // still distinguishes them so mode-comparison consumers (the perf
-    // benchmarks) measure a real explore rather than a cache hit.
+    // Both explore evaluators produce the bitwise-identical chain, but the
+    // key still distinguishes them so the interp oracle and the perf
+    // benchmarks measure a real explore rather than a cache hit.
     fp.mix(eval);
     return fp.value();
 }
@@ -153,15 +152,13 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
         fingerprint(model), static_cast<std::uint64_t>(options.encoding), options.max_states,
         static_cast<std::uint64_t>(options.reduction),
         static_cast<std::uint64_t>(options.lint),
-        static_cast<std::uint64_t>(options.symmetry),
-        static_cast<std::uint64_t>(options.eval));
+        static_cast<std::uint64_t>(options.symmetry));
     const std::uint64_t check = options_key(fingerprint(model, /*seed=*/1),
                                             static_cast<std::uint64_t>(options.encoding),
                                             options.max_states,
                                             static_cast<std::uint64_t>(options.reduction),
                                             static_cast<std::uint64_t>(options.lint),
-                                            static_cast<std::uint64_t>(options.symmetry),
-                                            static_cast<std::uint64_t>(options.eval));
+                                            static_cast<std::uint64_t>(options.symmetry));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = compiled_.find(key);
@@ -346,23 +343,7 @@ double AnalysisSession::steady_state_cost(const CompiledPtr& model) {
 
 SessionStats AnalysisSession::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    SessionStats out = stats_;
-    // The codegen counters are process-wide (the disk cache and toolchain
-    // are shared by every session), so snapshot rather than accumulate:
-    // delta-taking consumers (operator-) still see per-batch traffic.
-    const expr::CodegenCounters cg = expr::codegen_counters();
-    out.codegen_builds = cg.builds;
-    out.codegen_cache_hits = cg.cache_hits;
-    out.codegen_fallbacks = cg.fallbacks;
-    return out;
-}
-
-void AnalysisSession::record_batch(std::size_t cells, std::size_t columns,
-                                   double seconds) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.batch_cells_fused += cells;
-    stats_.batch_columns += columns;
-    stats_.batch_seconds += seconds;
+    return stats_;
 }
 
 void AnalysisSession::clear() {

@@ -75,23 +75,6 @@ struct SessionStats {
     std::size_t symmetry_states_in = 0;
     std::size_t symmetry_states_out = 0;
     double symmetry_seconds = 0.0;
-    /// Native-codegen backend traffic (expr/codegen.hpp), snapshotted from
-    /// the process-wide counters at stats() time: generated units compiled
-    /// out of process, units reloaded from the content-addressed disk
-    /// cache, and graceful VM fallbacks (no toolchain / no dlopen).  All
-    /// zero unless ARCADE_EVAL=codegen (or an explicit EvalMode::Codegen
-    /// request) ran in this process.
-    std::size_t codegen_builds = 0;
-    std::size_t codegen_cache_hits = 0;
-    std::size_t codegen_fallbacks = 0;
-    /// Batched transient evolution (sweep fusion pass, ARCADE_BATCH=auto):
-    /// sweep cells that were evolved inside a fused batch instead of with
-    /// their own TransientEvolver, distinct distribution columns those
-    /// batches carried, and the wall seconds spent inside batch evaluation.
-    /// All zero under BatchPolicy::Off.
-    std::size_t batch_cells_fused = 0;
-    std::size_t batch_columns = 0;
-    double batch_seconds = 0.0;
 
     /// Aggregate state-space reduction achieved by lumping (>= 1; 1.0 when
     /// nothing was lumped).
@@ -131,13 +114,7 @@ struct SessionStats {
                         after.lint_errors - before.lint_errors,
                         after.symmetry_states_in - before.symmetry_states_in,
                         after.symmetry_states_out - before.symmetry_states_out,
-                        after.symmetry_seconds - before.symmetry_seconds,
-                        after.codegen_builds - before.codegen_builds,
-                        after.codegen_cache_hits - before.codegen_cache_hits,
-                        after.codegen_fallbacks - before.codegen_fallbacks,
-                        after.batch_cells_fused - before.batch_cells_fused,
-                        after.batch_columns - before.batch_columns,
-                        after.batch_seconds - before.batch_seconds};
+                        after.symmetry_seconds - before.symmetry_seconds};
 }
 
 /// Structural fingerprint of a model (stable across identical rebuilds of
@@ -206,11 +183,6 @@ public:
     [[nodiscard]] WorkspacePool& workspace() noexcept { return workspace_; }
 
     [[nodiscard]] SessionStats stats() const;
-
-    /// Records one fused batch evaluation (sweep fusion pass): `cells` work
-    /// items served, `columns` distinct distribution columns evolved,
-    /// `seconds` wall time spent.
-    void record_batch(std::size_t cells, std::size_t columns, double seconds);
 
     /// Drops every cached artefact (models, distributions, scratch).
     void clear();

@@ -1,7 +1,6 @@
 #include "expr/vm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -10,16 +9,6 @@
 #include "support/errors.hpp"
 
 namespace arcade::expr {
-
-EvalMode default_eval_mode() {
-    static const EvalMode mode = [] {
-        const char* env = std::getenv("ARCADE_EVAL");
-        if (env != nullptr && std::string(env) == "interp") return EvalMode::Interp;
-        if (env != nullptr && std::string(env) == "codegen") return EvalMode::Codegen;
-        return EvalMode::Vm;
-    }();
-    return mode;
-}
 
 /// Single-expression code generator.  Register allocation is a simple
 /// expression-stack discipline: a node's result lands in `dst`, temporaries

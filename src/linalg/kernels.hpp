@@ -1,18 +1,15 @@
-// Blocked and SIMD CSR matvec kernels for the numeric core.
+// Blocked CSR matvec kernels for the numeric core.
 //
-// Every kernel here exists in three variants selected by KernelMode:
-// Blocked (4-way unrolled inner loops over __restrict pointers, with the
-// diagonal split out of the uniformised loops so the hot path is
-// branch-free), Simd (runtime-dispatched AVX2 on x86-64 / NEON on aarch64
-// vector bodies; resolves to Blocked when the CPU lacks the extension) and
-// Scalar (the seed's straightforward loops, kept as the reference).  All
-// variants accumulate in the SAME ascending-index order with a single
-// sequential accumulator chain, so their results are bitwise identical —
-// the unrolling and vectorisation only pipeline the loads, multiplies and
-// divisions (the element-wise work), they never reassociate a
-// floating-point sum and never contract into FMAs.  ARCADE_KERNELS=
-// scalar|blocked|simd selects the variant process-wide; tests and benches
-// flip the mode at runtime via set_kernel_mode().
+// Every kernel here exists in two variants selected by KernelMode: Blocked
+// (the production body: 4-way unrolled inner loops over __restrict
+// pointers, with the diagonal split out of the uniformised loops so the hot
+// path is branch-free) and Scalar (the seed's straightforward loops, kept as
+// the test reference).  Both variants accumulate in the SAME ascending-index
+// order with a single sequential accumulator chain, so their results are
+// bitwise identical — the unrolling only pipelines the loads, multiplies and
+// divisions, it never reassociates a floating-point sum and never contracts
+// into FMAs.  Tests and benches reach the reference through
+// set_kernel_mode().
 #ifndef ARCADE_LINALG_KERNELS_HPP
 #define ARCADE_LINALG_KERNELS_HPP
 
@@ -26,19 +23,9 @@ namespace arcade::linalg {
 enum class KernelMode {
     Blocked,  ///< unrolled kernels (default)
     Scalar,   ///< the seed's reference loops
-    Simd,     ///< AVX2/NEON vector bodies (falls back to Blocked at runtime)
 };
 
-/// Process-wide default, read once from the ARCADE_KERNELS environment
-/// variable ("scalar" selects the reference loops, "simd" the vector
-/// bodies; anything else, or unset, the blocked kernels).
-[[nodiscard]] KernelMode default_kernel_mode();
-
-/// True when the running CPU supports the SIMD bodies (AVX2 on x86-64,
-/// NEON on aarch64).  When false, KernelMode::Simd resolves to Blocked.
-[[nodiscard]] bool simd_available();
-
-/// Current mode; initially default_kernel_mode().
+/// Current mode; initially Blocked.
 [[nodiscard]] KernelMode kernel_mode();
 
 /// Overrides the mode at runtime (atomic; used by identity tests/benches).
@@ -64,36 +51,6 @@ void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
 /// matching the seed's bounded-until backward recurrence bit for bit.
 void uniformised_multiply_right(const CsrMatrix& rates, double lambda,
                                 std::span<const double> cur, std::span<double> next);
-
-// ---------------------------------------------------------------------------
-// Multi-RHS (CSR × dense-block) forms of the kernels above.  The block is
-// row-major: column c of state s lives at x[s*width + c], so ONE traversal of
-// the matrix serves all `width` vectors — the traversal (and, in the
-// uniformised kernel, the division vals[k]/lambda) is amortised across the
-// block.  Each column is accumulated in the same ascending-index
-// sequential-chain order as the single-vector kernel, including the
-// per-column in==0.0 row skip, so column c of the result is bitwise
-// identical to running the single-vector kernel on column c alone: the
-// ARCADE_KERNELS three-mode identity contract extends unchanged.
-// ---------------------------------------------------------------------------
-
-/// Y = X^T * M for a row-major block of `width` row vectors.
-/// `x.size()==rows*width`, `y.size()==cols*width`.  `y` is overwritten.
-void multiply_left_batch(const CsrMatrix& m, std::span<const double> x,
-                         std::span<double> y, std::size_t width);
-
-/// Y = M * X for a row-major block of `width` column vectors.
-/// `x.size()==cols*width`, `y.size()==rows*width`.  `y` is overwritten.
-void multiply_right_batch(const CsrMatrix& m, std::span<const double> x,
-                          std::span<double> y, std::size_t width);
-
-/// One forward application of the uniformised DTMC to a row-major block of
-/// `width` distributions: column c of `out` equals
-/// uniformised_multiply_left(rates, lambda, column c of `in`) bit for bit.
-/// `in.size()==out.size()==rates.rows()*width`.  `out` is overwritten.
-void uniformised_multiply_left_batch(const CsrMatrix& rates, double lambda,
-                                     std::span<const double> in, std::span<double> out,
-                                     std::size_t width);
 
 /// acc + sum of vals[k]*x[cols[k]] over entries whose column != skip, in
 /// ascending index order (the Gauss–Seidel inflow gather).

@@ -1,12 +1,5 @@
-// Dense vector helpers for probability vectors.
-//
-// l1_distance, dot and axpy honour the process-wide kernel mode
-// (linalg/kernels.hpp): under KernelMode::Simd their element-wise work
-// (subtract/abs/multiply) runs vectorised, with every accumulation chained
-// in the same sequential order as the reference loops — bitwise-identical
-// results across all modes.  The pure running-sum helpers (sum,
-// neumaier_sum, the max-reductions) are inherently sequential and have a
-// single variant.
+// Dense vector helpers for probability vectors.  Every reduction chains its
+// accumulator in ascending index order.
 #ifndef ARCADE_LINALG_VECTOR_OPS_HPP
 #define ARCADE_LINALG_VECTOR_OPS_HPP
 
@@ -30,8 +23,8 @@ namespace arcade::linalg {
 /// Neumaier-compensated sum of entries: a running total with a separate
 /// compensation term that absorbs the rounding error of each add, folded
 /// into the total once at the end.  Strictly sequential (the compensation
-/// depends on every preceding add), so there is exactly one variant; the
-/// Fox–Glynn weight normalisation is built on this.
+/// depends on every preceding add); the Fox–Glynn weight normalisation is
+/// built on this.
 [[nodiscard]] double neumaier_sum(std::span<const double> v);
 
 /// dot product.

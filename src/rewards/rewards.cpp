@@ -63,8 +63,7 @@ double accumulate_interval(const ctmc::Ctmc& chain, double lambda, std::vector<d
         }
         if (k == weights->right) break;
         // out = in * P with P = I + Q/lambda — the shared kernel performs
-        // exactly the scalar loop this file used to hand-roll, and picks up
-        // the ARCADE_KERNELS variant dispatch.
+        // exactly the scalar loop this file used to hand-roll.
         linalg::uniformised_multiply_left(chain.rates(), lambda, cur, next);
         std::swap(cur, next);
     }

@@ -71,15 +71,6 @@ struct RunnerOptions {
     /// compile of the run explores the orbit quotient over interchangeable
     /// components directly; the report's stats carry the symmetry counters.
     core::SymmetryPolicy symmetry = core::default_symmetry_policy();
-    /// Batched multi-vector transient evolution (ARCADE_BATCH): under Auto
-    /// the runner fuses survivability / instantaneous-cost cells that share
-    /// a model, an evolution matrix and a time grid into one
-    /// BatchTransientEvolver (their disasters become the batch columns) and
-    /// scatters the per-column values back to their cells.  Batched columns
-    /// are bitwise identical to per-cell evolution, so exported CSVs are
-    /// byte-identical under either policy; the report's stats carry the
-    /// batch_cells_fused / batch_columns / batch_seconds counters.
-    core::BatchPolicy batch = core::default_batch_policy();
 };
 
 class SweepRunner {

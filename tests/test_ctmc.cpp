@@ -2,16 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <memory>
 #include <random>
-#include <span>
 
 #include "ctmc/bounded_until.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
-#include "ctmc/transient_batch.hpp"
 #include "support/errors.hpp"
 
 namespace ctmc = arcade::ctmc;
@@ -291,100 +287,4 @@ TEST(Ctmc, ExitRatesAreCachedAtConstructionAndIgnoreDiagonal) {
     const auto absorbed = chain.make_absorbing({true, false, false});
     EXPECT_DOUBLE_EQ(absorbed.exit_rate(0), 0.0);
     EXPECT_DOUBLE_EQ(absorbed.max_exit_rate(), 0.25);
-}
-
-// ---------------------------------------------------------------------------
-// BatchTransientEvolver: per-column bitwise identity with TransientEvolver.
-// The batch engine is only allowed to amortise structure (one matrix
-// traversal, one Fox–Glynn sequence per step) — never arithmetic, so every
-// column it carries must hold exactly the bytes a single-vector evolver
-// produces for that initial vector.  This is the property the sweep
-// runner's fusion pass (and the byte-identical-CSV guarantee) stands on.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool same_column_bits(std::span<const double> a, std::span<const double> b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-/// A random irreducible-ish chain and a set of distinct initial columns.
-ctmc::Ctmc random_chain(std::mt19937& rng, std::size_t n) {
-    std::uniform_real_distribution<double> rate(0.1, 3.0);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    la::CsrBuilder b(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (i != j && unit(rng) < 0.5) b.add(i, j, rate(rng));
-        }
-    }
-    return ctmc::Ctmc(b.build(), ctmc::Ctmc::point_distribution(n, 0));
-}
-
-}  // namespace
-
-TEST(BatchTransient, ColumnsBitwiseIdenticalToSingleEvolvers) {
-    std::mt19937 rng(20260807);
-    const std::vector<double> times{0.0, 0.25, 0.25, 1.0, 2.5, 7.0};
-    for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                                    std::size_t{5}, std::size_t{8}}) {
-        const std::size_t n = 6;
-        const auto chain = random_chain(rng, n);
-        // Distinct columns: point distributions and a couple of mixtures,
-        // so a column mix-up cannot cancel out.
-        std::vector<std::vector<double>> columns;
-        for (std::size_t c = 0; c < width; ++c) {
-            std::vector<double> init(n, 0.0);
-            if (c % 2 == 0) {
-                init[c % n] = 1.0;
-            } else {
-                init[c % n] = 0.5;
-                init[(c + 2) % n] = 0.5;
-            }
-            columns.push_back(std::move(init));
-        }
-
-        ctmc::BatchTransientEvolver batch(chain, columns);
-        std::vector<std::unique_ptr<ctmc::TransientEvolver>> singles;
-        for (const auto& init : columns) {
-            singles.push_back(std::make_unique<ctmc::TransientEvolver>(chain, init));
-        }
-
-        std::vector<double> column(n);
-        for (const double t : times) {
-            batch.advance_to(t);
-            for (std::size_t c = 0; c < width; ++c) {
-                singles[c]->advance_to(t);
-                batch.extract_column(c, column);
-                EXPECT_TRUE(same_column_bits(column, singles[c]->distribution()))
-                    << "width=" << width << " c=" << c << " t=" << t;
-                EXPECT_TRUE(same_column_bits(batch.column(c), singles[c]->distribution()))
-                    << "width=" << width << " c=" << c << " t=" << t << " (column())";
-            }
-        }
-        EXPECT_EQ(batch.width(), width);
-        EXPECT_DOUBLE_EQ(batch.time(), times.back());
-    }
-}
-
-TEST(BatchTransient, AdvanceToDuplicateTimeIsANoOp) {
-    const auto chain = two_state(0.7, 0.9);
-    const std::vector<std::vector<double>> columns{chain.initial_distribution(),
-                                                   {0.0, 1.0}};
-    ctmc::BatchTransientEvolver evolver(chain, columns);
-    evolver.advance_to(1.0);
-    const std::vector<double> before = evolver.block();
-    evolver.advance_to(1.0);                     // exact duplicate
-    evolver.advance_to(1.0 - 5e-13);             // within kTimeTolerance
-    EXPECT_EQ(evolver.block(), before);
-    EXPECT_DOUBLE_EQ(evolver.time(), 1.0);
-}
-
-TEST(BatchTransient, AdvanceToDecreasingTimeThrows) {
-    const auto chain = two_state(0.7, 0.9);
-    const std::vector<std::vector<double>> columns{chain.initial_distribution()};
-    ctmc::BatchTransientEvolver evolver(chain, columns);
-    evolver.advance_to(2.0);
-    EXPECT_THROW(evolver.advance_to(1.0), arcade::InvalidArgument);
 }

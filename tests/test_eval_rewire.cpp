@@ -1,17 +1,12 @@
 // Whole-pipeline identity tests for the two performance rewirings of the
-// evaluation stack:
+// evaluation stack, each against its test-only reference:
 //
-//  * the expr bytecode VM vs the tree interpreter — and the native codegen
-//    backend vs the VM — must explore IDENTICAL chains: same states in the
-//    same order, bitwise-equal rates, equal label bitsets and reward
-//    vectors, on every watertree line/strategy's reactive-modules
-//    translation;
-//  * the blocked and simd CSR kernels vs the scalar reference must render
-//    the whole paper evaluation (sweep::paper::everything()) to a
-//    byte-identical CSV.
-//
-// These are the guarantees that make ARCADE_EVAL / ARCADE_KERNELS pure
-// performance toggles rather than numerics knobs.
+//  * the expr bytecode VM vs the tree interpreter must explore IDENTICAL
+//    chains: same states in the same order, bitwise-equal rates, equal
+//    label bitsets and reward vectors, on every watertree line/strategy's
+//    reactive-modules translation;
+//  * the blocked CSR kernels vs the scalar reference must render the whole
+//    paper evaluation (sweep::paper::everything()) to a byte-identical CSV.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +16,6 @@
 #include <vector>
 
 #include "arcade/modules_compiler.hpp"
-#include "expr/codegen.hpp"
 #include "expr/vm.hpp"
 #include "linalg/kernels.hpp"
 #include "modules/explorer.hpp"
@@ -120,34 +114,6 @@ TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
     }
 }
 
-TEST(EvalRewire, CodegenAndVmExploreIdenticalChains) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
-#else
-    // The native backend must reproduce the VM's chains bit for bit.  The
-    // identity holds even without a toolchain — the graceful fallback IS
-    // the VM — so this test doubles as the no-toolchain smoke when run
-    // with a stripped PATH.
-    const auto before = expr::codegen_counters();
-    for (const char* name : {"DED", "FRF-1", "FRF-2", "FFF-1", "FFF-2"}) {
-        for (int line = 1; line <= 2; ++line) {
-            const auto model = line == 1 ? wt::line1(wt::strategy(name))
-                                         : wt::line2(wt::strategy(name));
-            const auto system = core::to_reactive_modules(model);
-            const auto vm = explore_with(system, expr::EvalMode::Vm);
-            const auto native = explore_with(system, expr::EvalMode::Codegen);
-            expect_identical_chains(vm, native,
-                                    std::string(name) + " line " + std::to_string(line) +
-                                        " (codegen)");
-        }
-    }
-    const auto after = expr::codegen_counters();
-    // Every explore either built/reused a unit or counted a fallback.
-    EXPECT_GT(after.builds + after.cache_hits + after.fallbacks,
-              before.builds + before.cache_hits + before.fallbacks);
-#endif
-}
-
 TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {
     const auto system = core::to_reactive_modules(wt::line2(wt::strategy("FRF-1")));
     const auto model = explore_with(system, expr::EvalMode::Vm);
@@ -159,11 +125,6 @@ TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {
         modules::evaluate_state_predicate(model, system, predicate, expr::EvalMode::Interp);
     EXPECT_EQ(vm, interp);
     EXPECT_EQ(vm, model.chain.label(system.labels.begin()->first));
-#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-    const auto native =
-        modules::evaluate_state_predicate(model, system, predicate, expr::EvalMode::Codegen);
-    EXPECT_EQ(native, vm);
-#endif
 }
 
 TEST(EvalRewire, BlockedAndScalarKernelsRenderIdenticalPaperCsv) {
@@ -173,23 +134,13 @@ TEST(EvalRewire, BlockedAndScalarKernelsRenderIdenticalPaperCsv) {
     EXPECT_EQ(blocked, scalar);
 }
 
-TEST(EvalRewire, SimdAndBlockedKernelsRenderIdenticalPaperCsv) {
-    // Whether the Simd bodies engage or resolve to Blocked (CPU without the
-    // extension), the rendered paper evaluation must not move a byte.
-    const std::string simd = paper_csv(linalg::KernelMode::Simd);
-    const std::string blocked = paper_csv(linalg::KernelMode::Blocked);
-    ASSERT_FALSE(simd.empty());
-    EXPECT_EQ(simd, blocked);
-}
-
 TEST(EvalRewire, KernelModeDefaultsAndOverrides) {
     const linalg::KernelMode before = linalg::kernel_mode();
+    EXPECT_EQ(before, linalg::KernelMode::Blocked);
     linalg::set_kernel_mode(linalg::KernelMode::Scalar);
     EXPECT_EQ(linalg::kernel_mode(), linalg::KernelMode::Scalar);
     linalg::set_kernel_mode(linalg::KernelMode::Blocked);
     EXPECT_EQ(linalg::kernel_mode(), linalg::KernelMode::Blocked);
-    linalg::set_kernel_mode(linalg::KernelMode::Simd);
-    EXPECT_EQ(linalg::kernel_mode(), linalg::KernelMode::Simd);
     linalg::set_kernel_mode(before);
     EXPECT_EQ(linalg::kernel_mode(), before);
 }

@@ -118,10 +118,10 @@ TEST(VectorOps, NeumaierSumCompensatesCancellation) {
 
 // --- Kernel-mode bitwise identity on deliberately awkward inputs ----------
 //
-// The SIMD variants' whole contract is "same bits, fewer cycles": every
-// mode must agree byte for byte on empty rows, single-entry rows, rows
-// longer than any unroll width, dimensions that are not a multiple of the
-// vector width, and NaN/inf payloads.  One IEEE caveat shapes the inputs:
+// The blocked kernels' whole contract is "same bits, fewer cycles": they
+// must agree with the scalar reference byte for byte on empty rows,
+// single-entry rows, rows longer than the unroll width, dimensions that are
+// not a multiple of it, and NaN/inf payloads.  One IEEE caveat shapes the inputs:
 // when BOTH operands of an add are NaNs with different payloads the result
 // takes the payload of whichever operand the compiler put first, so the
 // identity only covers inputs whose NaNs all share one payload.  The tests
@@ -153,7 +153,7 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// 23x23 (not a multiple of any vector width) with empty rows, one-entry
+/// 23x23 (not a multiple of the unroll width) with empty rows, one-entry
 /// rows, long rows and a mix of rows with and without a stored diagonal.
 la::CsrMatrix edge_matrix() {
     constexpr std::size_t n = 23;
@@ -195,15 +195,10 @@ std::vector<double> edge_vector(std::size_t n, Specials specials) {
     return v;
 }
 
-constexpr la::KernelMode kModes[] = {la::KernelMode::Scalar, la::KernelMode::Blocked,
-                                     la::KernelMode::Simd};
+constexpr la::KernelMode kModes[] = {la::KernelMode::Scalar, la::KernelMode::Blocked};
 
 const char* mode_name(la::KernelMode mode) {
-    switch (mode) {
-        case la::KernelMode::Scalar: return "scalar";
-        case la::KernelMode::Blocked: return "blocked";
-        default: return "simd";
-    }
+    return mode == la::KernelMode::Scalar ? "scalar" : "blocked";
 }
 
 void expect_all_modes_identical(Specials specials) {
@@ -287,174 +282,5 @@ TEST(Kernels, GatherHelpersAgreeAcrossModes) {
                     << "captured diagonal " << mode_name(mode) << " len " << len;
             }
         }
-    }
-}
-
-TEST(Kernels, VectorOpsAgreeAcrossModesOnAwkwardLengths) {
-    for (const Specials specials : {Specials::None, Specials::Inf, Specials::NaN}) {
-        for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{5}, std::size_t{18}}) {
-            const std::vector<double> a = edge_vector(n, specials);
-            std::vector<double> b(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                b[i] = 0.125 * static_cast<double>(i) + 0.5;
-            }
-
-            double ref_l1 = 0.0;
-            double ref_dot = 0.0;
-            std::vector<double> ref_axpy = b;
-            {
-                const KernelModeGuard guard(la::KernelMode::Scalar);
-                ref_l1 = la::l1_distance(a, b);
-                ref_dot = la::dot(a, b);
-                la::axpy(-0.75, a, ref_axpy);
-            }
-            for (const la::KernelMode mode : kModes) {
-                const KernelModeGuard guard(mode);
-                EXPECT_TRUE(same_bits(la::l1_distance(a, b), ref_l1))
-                    << "l1_distance " << mode_name(mode) << " n " << n;
-                EXPECT_TRUE(same_bits(la::dot(a, b), ref_dot))
-                    << "dot " << mode_name(mode) << " n " << n;
-                std::vector<double> y = b;
-                la::axpy(-0.75, a, y);
-                EXPECT_TRUE(same_bits(y, ref_axpy))
-                    << "axpy " << mode_name(mode) << " n " << n;
-            }
-        }
-    }
-}
-
-TEST(Kernels, SimdModeAlwaysDispatchable) {
-    // Whether or not the CPU has the extension, Simd mode must be safe to
-    // select (it resolves to Blocked when simd_available() is false).
-    const KernelModeGuard guard(la::KernelMode::Simd);
-    const la::CsrMatrix m = edge_matrix();
-    std::vector<double> x(m.cols(), 1.0);
-    std::vector<double> y(m.rows(), 0.0);
-    la::multiply_right(m, x, y);
-    SUCCEED() << (la::simd_available() ? "simd bodies" : "blocked fallback");
-}
-
-// ---------------------------------------------------------------------------
-// Batch (multi-RHS) kernels.  The contract mirrors the single-vector one,
-// per column: extracting column c of a batch result must reproduce, bit for
-// bit, the single-vector kernel applied to column c alone — in every mode,
-// at every width, including the strided-layout edge widths (1, odd, vector
-// width, vector width + 1, 2× vector width) and the ±inf / quiet-NaN payload
-// classes.  Columns are made distinct (different zero positions, different
-// scales) so a kernel that mixed columns up, skipped the wrong column's
-// zero, or reused one column's q-scaling for another would be caught.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::size_t kBatchWidths[] = {1, 3, 4, 5, 8};
-
-/// Column c of the batch input: the edge vector, per-column scaled, with a
-/// column-dependent extra zero so the per-column zero-skip is observable.
-std::vector<double> batch_column(std::size_t n, std::size_t c, Specials specials) {
-    std::vector<double> v = edge_vector(n, specials);
-    const double scale = 1.0 + 0.5 * static_cast<double>(c);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (std::isfinite(v[i])) v[i] *= scale;  // leave special payloads untouched
-    }
-    if (n > 0) v[(2 * c + 1) % n] = 0.0;
-    return v;
-}
-
-/// Row-major interleave: block[s*width + c] = columns[c][s].
-std::vector<double> interleave(const std::vector<std::vector<double>>& columns) {
-    const std::size_t width = columns.size();
-    const std::size_t n = columns.empty() ? 0 : columns[0].size();
-    std::vector<double> block(n * width);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t c = 0; c < width; ++c) block[s * width + c] = columns[c][s];
-    }
-    return block;
-}
-
-std::vector<double> deinterleave_column(std::span<const double> block, std::size_t width,
-                                        std::size_t c) {
-    std::vector<double> column(block.size() / width);
-    for (std::size_t s = 0; s < column.size(); ++s) column[s] = block[s * width + c];
-    return column;
-}
-
-void expect_batch_matches_single(Specials specials) {
-    const la::CsrMatrix m = edge_matrix();
-    const std::size_t n = m.rows();
-    const double lambda = 3.5;
-
-    for (const std::size_t width : kBatchWidths) {
-        std::vector<std::vector<double>> columns;
-        columns.reserve(width);
-        for (std::size_t c = 0; c < width; ++c) columns.push_back(batch_column(n, c, specials));
-        const std::vector<double> block = interleave(columns);
-
-        for (const la::KernelMode mode : kModes) {
-            const KernelModeGuard guard(mode);
-            // Per-column references from the single-vector kernels in the
-            // SAME mode (themselves bitwise identical across modes, by the
-            // tests above).
-            std::vector<std::vector<double>> ref_left(width, std::vector<double>(n));
-            std::vector<std::vector<double>> ref_right(width, std::vector<double>(n));
-            std::vector<std::vector<double>> ref_uleft(width, std::vector<double>(n));
-            for (std::size_t c = 0; c < width; ++c) {
-                la::multiply_left(m, columns[c], ref_left[c]);
-                la::multiply_right(m, columns[c], ref_right[c]);
-                la::uniformised_multiply_left(m, lambda, columns[c], ref_uleft[c]);
-            }
-
-            std::vector<double> out(n * width, 0.5);  // poisoned: must overwrite
-            la::multiply_left_batch(m, block, out, width);
-            for (std::size_t c = 0; c < width; ++c) {
-                EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_left[c]))
-                    << "multiply_left_batch " << mode_name(mode) << " width " << width
-                    << " column " << c;
-            }
-            std::fill(out.begin(), out.end(), 0.5);
-            la::multiply_right_batch(m, block, out, width);
-            for (std::size_t c = 0; c < width; ++c) {
-                EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_right[c]))
-                    << "multiply_right_batch " << mode_name(mode) << " width " << width
-                    << " column " << c;
-            }
-            std::fill(out.begin(), out.end(), 0.5);
-            la::uniformised_multiply_left_batch(m, lambda, block, out, width);
-            for (std::size_t c = 0; c < width; ++c) {
-                EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_uleft[c]))
-                    << "uniformised_multiply_left_batch " << mode_name(mode) << " width "
-                    << width << " column " << c;
-            }
-        }
-    }
-}
-
-}  // namespace
-
-TEST(BatchKernels, ColumnsBitwiseIdenticalToSingleVectorKernels) {
-    expect_batch_matches_single(Specials::None);
-}
-
-TEST(BatchKernels, InfinitiesPropagateIdenticallyPerColumn) {
-    expect_batch_matches_single(Specials::Inf);
-}
-
-TEST(BatchKernels, NansPropagateIdenticallyPerColumn) {
-    expect_batch_matches_single(Specials::NaN);
-}
-
-TEST(BatchKernels, WidthOneMatchesSingleVectorExactly) {
-    // Degenerate width: the strided layout collapses to the plain one and
-    // the batch kernels must be drop-in equal to their single-vector twins.
-    const la::CsrMatrix m = edge_matrix();
-    const std::size_t n = m.rows();
-    const std::vector<double> x = edge_vector(n, Specials::None);
-    for (const la::KernelMode mode : kModes) {
-        const KernelModeGuard guard(mode);
-        std::vector<double> single(n), batch(n, 0.5);
-        la::uniformised_multiply_left(m, 3.5, x, single);
-        la::uniformised_multiply_left_batch(m, 3.5, x, batch, 1);
-        EXPECT_TRUE(same_bits(batch, single)) << mode_name(mode);
     }
 }

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arcade/measures.hpp"
+#include "graph/lumping.hpp"
 #include "support/series.hpp"
 #include "sweep/sweep.hpp"
 
@@ -369,4 +371,24 @@ TEST(SweepGolden, Table2AvailabilityRowsAreByteIdentical) {
 
     EXPECT_EQ(rendered_by_sweep(sweep::paper::table2(), sweep::paper::render_table2),
               expected.str());
+}
+
+// The whole paper evaluation, pinned as one end-to-end output: the CSV of
+// sweep::paper::everything() (lumped encoding, default options) hashed
+// byte by byte with FNV-1a.  The constant is the digest of the reference
+// paper-grid CSV (md5 27a3bec0…, also pinned by e2ebench/references), so
+// any change to a number the library prints shows up here.
+TEST(SweepGolden, PaperGridCsvDigestIsPinned) {
+    engine::AnalysisSession session;
+    sweep::SweepRunner runner(session);
+    const auto grid = sweep::paper::everything();
+    const auto report = runner.run(grid);
+    std::ostringstream csv;
+    sweep::write_csv(report, grid, csv);
+    std::uint64_t digest = arcade::graph::kFnv1aBasis;
+    for (const char c : csv.str()) {
+        digest = arcade::graph::fnv1a_mix(digest, static_cast<unsigned char>(c));
+    }
+    constexpr std::uint64_t kPaperCsvDigest = 0xfbac1f8493f888bcull;
+    EXPECT_EQ(digest, kPaperCsvDigest) << std::hex << "0x" << digest;
 }
