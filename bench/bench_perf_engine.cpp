@@ -30,6 +30,7 @@
 #include "ctmc/transient.hpp"
 #include "engine/explore.hpp"
 #include "engine/session.hpp"
+#include "linalg/kernels.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "watertree/watertree.hpp"
 
@@ -338,7 +339,7 @@ void BM_SparseMatvec(benchmark::State& state) {
     std::vector<double> x(model.state_count(), 1.0 / model.state_count());
     std::vector<double> y(model.state_count(), 0.0);
     for (auto _ : state) {
-        model.chain().rates().multiply_left(x, y);
+        arcade::linalg::multiply_left(model.chain().rates(), x, y);
         benchmark::DoNotOptimize(y.data());
     }
 }

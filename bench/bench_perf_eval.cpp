@@ -2,8 +2,8 @@
 // bytecode VM on full state-space exploration (every paper strategy's
 // line-2 reactive-modules translation, single-threaded so the numbers
 // isolate per-state evaluation cost), and the scalar vs blocked CSR kernels
-// on the matvec shapes the numeric core runs (distribution propagation,
-// backward gather, uniformised step).  All comparisons are between
+// on the matvec shapes the numeric core runs (distribution propagation and
+// backward gather on a uniformised matrix).  All comparisons are between
 // bitwise-identical computations — the speedup is pure evaluation
 // mechanics, never a numerics change (asserted by test_eval_rewire).
 //
@@ -80,14 +80,16 @@ BENCHMARK_CAPTURE(BM_ExploreInterp, l2_FFF2, "FFF-2")->Unit(benchmark::kMillisec
 BENCHMARK_CAPTURE(BM_ExploreVm, l2_FFF2, "FFF-2")->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Kernel comparison on the explored FRF-1 line-2 chain (8129 states).
+// Kernel comparison on the uniformised FRF-1 line-2 chain (8129 states):
+// P = I + Q/100, the matrix every transient and bounded-until step multiplies.
 // ---------------------------------------------------------------------------
 
-const linalg::CsrMatrix& frf1_rates() {
-    static const linalg::CsrMatrix rates = [] {
-        return modules::explore(line2_system("FRF-1")).chain.rates();
+const linalg::CsrMatrix& frf1_uniformised() {
+    static const linalg::CsrMatrix p = [] {
+        return linalg::uniformise(modules::explore(line2_system("FRF-1")).chain.rates(),
+                                  100.0);
     }();
-    return rates;
+    return p;
 }
 
 template <typename Fn>
@@ -95,22 +97,20 @@ void run_kernel(benchmark::State& state, linalg::KernelMode mode, Fn&& fn) {
     bench::stamp_build_type(state);
     const linalg::KernelMode before = linalg::kernel_mode();
     linalg::set_kernel_mode(mode);
-    const auto& rates = frf1_rates();
-    std::vector<double> x(rates.rows(), 1.0 / static_cast<double>(rates.rows()));
-    std::vector<double> y(rates.rows(), 0.0);
+    const auto& p = frf1_uniformised();
+    std::vector<double> x(p.rows(), 1.0 / static_cast<double>(p.rows()));
+    std::vector<double> y(p.rows(), 0.0);
     for (auto _ : state) {
-        fn(rates, x, y);
+        fn(p, x, y);
         benchmark::DoNotOptimize(y.data());
     }
     linalg::set_kernel_mode(before);
-    state.counters["nonzeros"] = static_cast<double>(rates.nonzeros());
-    state.counters["nnz/s"] = benchmark::Counter(static_cast<double>(rates.nonzeros()),
+    state.counters["nonzeros"] = static_cast<double>(p.nonzeros());
+    state.counters["nnz/s"] = benchmark::Counter(static_cast<double>(p.nonzeros()),
                                                  benchmark::Counter::kIsIterationInvariantRate);
-    // Matvec throughput at 2 flops per stored entry (multiply + accumulate);
-    // the uniformised kernels do a little more per entry, so for them this
-    // is a comparable lower bound rather than an exact count.
+    // Matvec throughput at 2 flops per stored entry (multiply + accumulate).
     state.counters["gflops"] =
-        benchmark::Counter(2.0e-9 * static_cast<double>(rates.nonzeros()),
+        benchmark::Counter(2.0e-9 * static_cast<double>(p.nonzeros()),
                            benchmark::Counter::kIsIterationInvariantRate);
 }
 
@@ -124,25 +124,11 @@ void BM_MatvecRight(benchmark::State& state, linalg::KernelMode mode) {
         linalg::multiply_right(m, x, y);
     });
 }
-void BM_UniformisedLeft(benchmark::State& state, linalg::KernelMode mode) {
-    run_kernel(state, mode, [](const auto& m, const auto& x, auto& y) {
-        linalg::uniformised_multiply_left(m, 100.0, x, y);
-    });
-}
-void BM_UniformisedRight(benchmark::State& state, linalg::KernelMode mode) {
-    run_kernel(state, mode, [](const auto& m, const auto& x, auto& y) {
-        linalg::uniformised_multiply_right(m, 100.0, x, y);
-    });
-}
 
 BENCHMARK_CAPTURE(BM_MatvecLeft, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_MatvecLeft, blocked, linalg::KernelMode::Blocked);
 BENCHMARK_CAPTURE(BM_MatvecRight, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_MatvecRight, blocked, linalg::KernelMode::Blocked);
-BENCHMARK_CAPTURE(BM_UniformisedLeft, scalar, linalg::KernelMode::Scalar);
-BENCHMARK_CAPTURE(BM_UniformisedLeft, blocked, linalg::KernelMode::Blocked);
-BENCHMARK_CAPTURE(BM_UniformisedRight, scalar, linalg::KernelMode::Scalar);
-BENCHMARK_CAPTURE(BM_UniformisedRight, blocked, linalg::KernelMode::Blocked);
 
 }  // namespace
 

@@ -81,10 +81,10 @@ std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vecto
     engine::ScratchVector next_scratch(options.workspace, n);
     std::vector<double>& next = next_scratch.get();
 
-    const auto& rates = transformed.rates();
+    const linalg::CsrMatrix p = linalg::uniformise(transformed.rates(), lambda);
     // next = P * cur  (column-vector form of the uniformised matrix)
     const auto power_step = [&] {
-        linalg::uniformised_multiply_right(rates, lambda, cur, next);
+        linalg::multiply_right(p, cur, next);
         std::swap(cur, next);
     };
 

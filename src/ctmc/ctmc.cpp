@@ -91,4 +91,8 @@ void Ctmc::set_initial_distribution(std::vector<double> initial) {
     initial_ = std::move(initial);
 }
 
+double uniformisation_rate(const Ctmc& chain) {
+    return std::max(chain.max_exit_rate(), 1e-12) * 1.02;
+}
+
 }  // namespace arcade::ctmc

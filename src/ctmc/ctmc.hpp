@@ -67,6 +67,12 @@ private:
     std::unordered_map<std::string, std::vector<bool>> labels_;
 };
 
+/// The rate transient and accumulated-reward solves uniformise `chain` with:
+/// 2% above its largest exit rate, floored so a chain without transitions
+/// still gets a positive one.  It sets the Fox–Glynn parameter and scales
+/// accumulated rewards, so every such solve must use this same value.
+[[nodiscard]] double uniformisation_rate(const Ctmc& chain);
+
 }  // namespace arcade::ctmc
 
 #endif  // ARCADE_CTMC_CTMC_HPP

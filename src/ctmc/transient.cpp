@@ -10,22 +10,11 @@
 
 namespace arcade::ctmc {
 
-namespace {
-
-/// One application of the uniformised DTMC:  out = in * P  where
-/// P = I + Q/lambda (Q = R with diagonal -exit_rate).
-void uniformised_step(const Ctmc& chain, double lambda, std::span<const double> in,
-                      std::span<double> out) {
-    linalg::uniformised_multiply_left(chain.rates(), lambda, in, out);
-}
-
-}  // namespace
-
 TransientEvolver::TransientEvolver(const Ctmc& chain, std::span<const double> initial,
                                    TransientOptions options)
-    : chain_(chain),
-      options_(options),
-      lambda_(std::max(chain.max_exit_rate(), 1e-12) * 1.02),
+    : options_(options),
+      lambda_(uniformisation_rate(chain)),
+      p_(linalg::uniformise(chain.rates(), lambda_)),
       dist_(initial.begin(), initial.end()) {
     ARCADE_ASSERT(initial.size() == chain.state_count(), "initial size mismatch");
     if (options_.workspace != nullptr) {
@@ -65,7 +54,7 @@ void TransientEvolver::step(double dt) {
         }
         if (k == weights->right) break;
         // cur = cur * P; reuse dist_ as the step target then swap.
-        uniformised_step(chain_, lambda_, cur, dist_);
+        linalg::multiply_left(p_, cur, dist_);
         std::swap(cur, dist_);
     }
     dist_ = acc;

@@ -38,7 +38,9 @@ struct TransientOptions {
     const TransientOptions& options = {});
 
 /// Incremental uniformisation engine.  Construct once per (chain, initial),
-/// then call advance_to() with non-decreasing times.
+/// then call advance_to() with non-decreasing times.  The constructor builds
+/// the uniformised matrix P, which lives as long as the evolver; the chain
+/// itself is not referenced afterwards.
 class TransientEvolver {
 public:
     TransientEvolver(const Ctmc& chain, std::span<const double> initial,
@@ -61,9 +63,9 @@ public:
     [[nodiscard]] double time() const noexcept { return time_; }
 
 private:
-    const Ctmc& chain_;
     TransientOptions options_;
     double lambda_;                  ///< uniformisation rate
+    linalg::CsrMatrix p_;            ///< P = I + Q/lambda_, built by the constructor
     std::vector<double> dist_;
     std::vector<double> scratch_a_;  ///< pool-borrowed when options_.workspace
     std::vector<double> scratch_b_;

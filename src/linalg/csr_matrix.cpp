@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "linalg/kernels.hpp"
 #include "support/errors.hpp"
 
 namespace arcade::linalg {
@@ -78,14 +77,6 @@ double CsrMatrix::row_sum(std::size_t row) const {
     return s;
 }
 
-void CsrMatrix::multiply_left(std::span<const double> x, std::span<double> y) const {
-    linalg::multiply_left(*this, x, y);
-}
-
-void CsrMatrix::multiply_right(std::span<const double> x, std::span<double> y) const {
-    linalg::multiply_right(*this, x, y);
-}
-
 CsrMatrix CsrMatrix::transposed() const {
     CsrBuilder b(cols_, rows_);
     for (std::size_t r = 0; r < rows_; ++r) {
@@ -96,6 +87,33 @@ CsrMatrix CsrMatrix::transposed() const {
         }
     }
     return b.build();
+}
+
+CsrMatrix uniformise(const CsrMatrix& rates, double lambda) {
+    ARCADE_ASSERT(rates.rows() == rates.cols(), "uniformise needs a square rate matrix");
+    const std::size_t n = rates.rows();
+    std::vector<std::size_t> row_ptr(n + 1, 0);
+    std::vector<std::size_t> col_idx;
+    std::vector<double> values;
+    col_idx.reserve(rates.nonzeros() + n);
+    values.reserve(rates.nonzeros() + n);
+    for (std::size_t i = 0; i < n; ++i) {
+        row_ptr[i] = col_idx.size();
+        const auto cols = rates.row_columns(i);
+        const auto vals = rates.row_values(i);
+        double moved = 0.0;
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            if (cols[k] == i) continue;
+            const double q = vals[k] / lambda;
+            col_idx.push_back(cols[k]);
+            values.push_back(q);
+            moved += q;
+        }
+        col_idx.push_back(i);
+        values.push_back(1.0 - moved);
+    }
+    row_ptr[n] = col_idx.size();
+    return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
 }  // namespace arcade::linalg

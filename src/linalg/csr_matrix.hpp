@@ -41,7 +41,9 @@ private:
     std::vector<Coo> entries_;
 };
 
-/// Immutable CSR matrix.  Row entries are sorted by column with no duplicates.
+/// Immutable CSR matrix with no duplicate columns in a row.  Rows built by
+/// CsrBuilder are sorted by column; uniformise() output is the exception
+/// (diagonal last), so at() does not apply to it.
 class CsrMatrix {
 public:
     CsrMatrix() = default;
@@ -55,18 +57,11 @@ public:
     [[nodiscard]] std::span<const std::size_t> row_columns(std::size_t row) const;
     [[nodiscard]] std::span<const double> row_values(std::size_t row) const;
 
-    /// Value at (row, col); 0.0 when not stored.
+    /// Value at (row, col); 0.0 when not stored.  Needs column-sorted rows.
     [[nodiscard]] double at(std::size_t row, std::size_t col) const;
 
     /// Sum of stored values in `row`.
     [[nodiscard]] double row_sum(std::size_t row) const;
-
-    /// y = x^T * M   (row-vector times matrix; the propagation direction for
-    /// distributions).  `x.size()==rows()`, `y.size()==cols()`.
-    void multiply_left(std::span<const double> x, std::span<double> y) const;
-
-    /// y = M * x  (matrix times column vector; used for backward solutions).
-    void multiply_right(std::span<const double> x, std::span<double> y) const;
 
     /// Transposed copy (used to precompute incoming-edge structure).
     [[nodiscard]] CsrMatrix transposed() const;
@@ -82,6 +77,16 @@ private:
     std::vector<std::size_t> col_idx_;
     std::vector<double> values_;
 };
+
+/// The uniformised DTMC P = I + Q/lambda of the rate matrix `rates`
+/// (Q = R with diagonal -exit rate).  Row i holds the off-diagonal entries
+/// v/lambda in `rates`' row order, stored self-loops skipped, and then,
+/// LAST, the diagonal 1 - sum(v/lambda) summed in that same order.  Rows are
+/// therefore not column-sorted.  With the diagonal last, multiply_left/right
+/// on P reproduce the on-the-fly uniformised step bit for bit: a left
+/// product still adds row i's terms to each out[c] once, in row order, and a
+/// right product ends with `sum + (1 - moved) * cur[i]`.
+[[nodiscard]] CsrMatrix uniformise(const CsrMatrix& rates, double lambda);
 
 }  // namespace arcade::linalg
 

@@ -114,135 +114,6 @@ void multiply_right_blocked(const CsrMatrix& m, std::span<const double> x,
     }
 }
 
-void uniformised_left_scalar(const CsrMatrix& rates, double lambda,
-                             std::span<const double> in, std::span<double> out) {
-    std::fill(out.begin(), out.end(), 0.0);
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double p = in[i];
-        if (p == 0.0) continue;
-        const auto cols = rates.row_columns(i);
-        const auto vals = rates.row_values(i);
-        double moved = 0.0;
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] == i) continue;
-            const double q = vals[k] / lambda;
-            out[cols[k]] += p * q;
-            moved += q;
-        }
-        out[i] += p * (1.0 - moved);
-    }
-}
-
-/// Off-diagonal scatter over [begin,end): out[col] += p*val/lambda, with the
-/// moved-mass accumulator chained sequentially (same order as the scalar
-/// loop's ascending walk).
-inline double scatter_range(const std::size_t* __restrict cols,
-                            const double* __restrict vals, double p, double lambda,
-                            double* __restrict out, std::size_t begin, std::size_t end,
-                            double moved) {
-    std::size_t k = begin;
-    for (; k + 4 <= end; k += 4) {
-        const double q0 = vals[k] / lambda;
-        const double q1 = vals[k + 1] / lambda;
-        const double q2 = vals[k + 2] / lambda;
-        const double q3 = vals[k + 3] / lambda;
-        out[cols[k]] += p * q0;
-        out[cols[k + 1]] += p * q1;
-        out[cols[k + 2]] += p * q2;
-        out[cols[k + 3]] += p * q3;
-        moved = (((moved + q0) + q1) + q2) + q3;
-    }
-    for (; k < end; ++k) {
-        const double q = vals[k] / lambda;
-        out[cols[k]] += p * q;
-        moved += q;
-    }
-    return moved;
-}
-
-void uniformised_left_blocked(const CsrMatrix& rates, double lambda,
-                              std::span<const double> in, std::span<double> out) {
-    std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    double* __restrict op = out.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double p = in[i];
-        if (p == 0.0) continue;
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double moved = scatter_range(cols, vals, p, lambda, op, begin, diag, 0.0);
-        if (diag != end) {
-            moved = scatter_range(cols, vals, p, lambda, op, diag + 1, end, moved);
-        }
-        op[i] += p * (1.0 - moved);
-    }
-}
-
-void uniformised_right_scalar(const CsrMatrix& rates, double lambda,
-                              std::span<const double> cur, std::span<double> next) {
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const auto cols = rates.row_columns(i);
-        const auto vals = rates.row_values(i);
-        double moved = 0.0;
-        double sum = 0.0;
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] == i) continue;
-            const double p = vals[k] / lambda;
-            sum += p * cur[cols[k]];
-            moved += p;
-        }
-        next[i] = sum + (1.0 - moved) * cur[i];
-    }
-}
-
-/// Off-diagonal gather over [begin,end): sum += (val/lambda)*cur[col] and
-/// moved += val/lambda, both chained sequentially in ascending order.
-inline void gather_range(const std::size_t* __restrict cols, const double* __restrict vals,
-                         double lambda, const double* __restrict cur, std::size_t begin,
-                         std::size_t end, double& sum, double& moved) {
-    double s = sum;
-    double m = moved;
-    std::size_t k = begin;
-    for (; k + 4 <= end; k += 4) {
-        const double p0 = vals[k] / lambda;
-        const double p1 = vals[k + 1] / lambda;
-        const double p2 = vals[k + 2] / lambda;
-        const double p3 = vals[k + 3] / lambda;
-        s = (((s + p0 * cur[cols[k]]) + p1 * cur[cols[k + 1]]) + p2 * cur[cols[k + 2]]) +
-            p3 * cur[cols[k + 3]];
-        m = (((m + p0) + p1) + p2) + p3;
-    }
-    for (; k < end; ++k) {
-        const double p = vals[k] / lambda;
-        s += p * cur[cols[k]];
-        m += p;
-    }
-    sum = s;
-    moved = m;
-}
-
-void uniformised_right_blocked(const CsrMatrix& rates, double lambda,
-                               std::span<const double> cur, std::span<double> next) {
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    const double* __restrict cp = cur.data();
-    double* __restrict np = next.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double sum = 0.0;
-        double moved = 0.0;
-        gather_range(cols, vals, lambda, cp, begin, diag, sum, moved);
-        if (diag != end) gather_range(cols, vals, lambda, cp, diag + 1, end, sum, moved);
-        np[i] = sum + (1.0 - moved) * cp[i];  // diagonal term last, like the seed
-    }
-}
-
 }  // namespace
 
 KernelMode kernel_mode() { return current_mode.load(std::memory_order_relaxed); }
@@ -268,28 +139,6 @@ void multiply_right(const CsrMatrix& m, std::span<const double> x, std::span<dou
         multiply_right_blocked(m, x, y);
     } else {
         multiply_right_scalar(m, x, y);
-    }
-}
-
-void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
-                               std::span<const double> in, std::span<double> out) {
-    ARCADE_ASSERT(in.size() == rates.rows() && out.size() == rates.rows(),
-                  "uniformised_multiply_left shape mismatch");
-    if (kernel_mode() == KernelMode::Blocked) {
-        uniformised_left_blocked(rates, lambda, in, out);
-    } else {
-        uniformised_left_scalar(rates, lambda, in, out);
-    }
-}
-
-void uniformised_multiply_right(const CsrMatrix& rates, double lambda,
-                                std::span<const double> cur, std::span<double> next) {
-    ARCADE_ASSERT(cur.size() == rates.rows() && next.size() == rates.rows(),
-                  "uniformised_multiply_right shape mismatch");
-    if (kernel_mode() == KernelMode::Blocked) {
-        uniformised_right_blocked(rates, lambda, cur, next);
-    } else {
-        uniformised_right_scalar(rates, lambda, cur, next);
     }
 }
 

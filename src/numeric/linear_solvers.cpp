@@ -109,6 +109,7 @@ SolverResult steady_state_power(const linalg::CsrMatrix& rate_matrix, std::span<
     for (double r : exit_rate) lambda = std::max(lambda, r);
     if (lambda == 0.0) lambda = 1.0;
     lambda *= 1.02;
+    const linalg::CsrMatrix p = linalg::uniformise(rate_matrix, lambda);
 
     const double u = 1.0 / static_cast<double>(n);
     for (double& x : pi) x = u;
@@ -116,7 +117,7 @@ SolverResult steady_state_power(const linalg::CsrMatrix& rate_matrix, std::span<
 
     SolverResult res;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
-        linalg::uniformised_multiply_left(rate_matrix, lambda, pi, next);
+        linalg::multiply_left(p, pi, next);
         const double err = options.relative ? linalg::relative_distance(next, pi)
                                             : linalg::linf_distance(next, pi);
         std::copy(next.begin(), next.end(), pi.begin());

@@ -27,10 +27,11 @@ void check(const ctmc::Ctmc& chain, const RewardStructure& reward,
 
 /// E over one interval of length dt starting from distribution `dist`:
 ///   (1/L) sum_k (1 - F_k(L dt)) * (dist P^k) · rho
-/// Also advances `dist` to the end of the interval (re-using the powers).
-double accumulate_interval(const ctmc::Ctmc& chain, double lambda, std::vector<double>& dist,
-                           const std::vector<double>& rho, double dt,
-                           const ctmc::TransientOptions& options) {
+/// with P = uniformise(rates, L).  Also advances `dist` to the end of the
+/// interval (re-using the powers).
+double accumulate_interval(const linalg::CsrMatrix& p, double lambda,
+                           std::vector<double>& dist, const std::vector<double>& rho,
+                           double dt, const ctmc::TransientOptions& options) {
     if (dt <= 0.0) return 0.0;
     const double q = lambda * dt;
     const auto weights = numeric::fox_glynn_cached(q, options.epsilon);
@@ -38,7 +39,7 @@ double accumulate_interval(const ctmc::Ctmc& chain, double lambda, std::vector<d
     // Survival function of the Poisson: S_k = P(N > k) = 1 - F_k.
     // Computed from the normalised weights; mass below `left` counts as
     // already included in F (indices < left have negligible pmf).
-    const std::size_t n = chain.state_count();
+    const std::size_t n = p.rows();
     engine::ScratchVector cur_scratch(options.workspace, n);
     engine::ScratchVector next_scratch(options.workspace, n);
     engine::ScratchVector end_scratch(options.workspace, n);
@@ -62,9 +63,7 @@ double accumulate_interval(const ctmc::Ctmc& chain, double lambda, std::vector<d
             for (std::size_t i = 0; i < n; ++i) end_dist[i] += w * cur[i];
         }
         if (k == weights->right) break;
-        // out = in * P with P = I + Q/lambda — the shared kernel performs
-        // exactly the scalar loop this file used to hand-roll.
-        linalg::uniformised_multiply_left(chain.rates(), lambda, cur, next);
+        linalg::multiply_left(p, cur, next);
         std::swap(cur, next);
     }
     // Indices k < left all have survival 1 and are skipped by weight(k)==0 in
@@ -105,9 +104,10 @@ double accumulated_reward(const ctmc::Ctmc& chain, std::span<const double> initi
                           const ctmc::TransientOptions& options) {
     check(chain, reward, initial);
     ARCADE_ASSERT(t >= 0.0, "negative time bound");
-    const double lambda = std::max(chain.max_exit_rate(), 1e-12) * 1.02;
+    const double lambda = ctmc::uniformisation_rate(chain);
+    const linalg::CsrMatrix p = linalg::uniformise(chain.rates(), lambda);
     std::vector<double> dist(initial.begin(), initial.end());
-    return accumulate_interval(chain, lambda, dist, reward.state_rates(), t, options);
+    return accumulate_interval(p, lambda, dist, reward.state_rates(), t, options);
 }
 
 std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
@@ -116,7 +116,8 @@ std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
                                               std::span<const double> times,
                                               const ctmc::TransientOptions& options) {
     check(chain, reward, initial);
-    const double lambda = std::max(chain.max_exit_rate(), 1e-12) * 1.02;
+    const double lambda = ctmc::uniformisation_rate(chain);
+    const linalg::CsrMatrix p = linalg::uniformise(chain.rates(), lambda);
     std::vector<double> dist(initial.begin(), initial.end());
     std::vector<double> out;
     out.reserve(times.size());
@@ -134,7 +135,7 @@ std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
                                   "; grid times must be non-decreasing");
         }
         const double dt = std::max(0.0, t - prev);
-        acc += accumulate_interval(chain, lambda, dist, reward.state_rates(), dt, options);
+        acc += accumulate_interval(p, lambda, dist, reward.state_rates(), dt, options);
         out.push_back(acc);
         prev = std::max(prev, t);
     }

@@ -39,7 +39,7 @@ TEST(CsrMatrix, MultiplyLeftMatchesManualComputation) {
     const la::CsrMatrix m = b.build();
     std::vector<double> x{1.0, 10.0};
     std::vector<double> y(2, 0.0);
-    m.multiply_left(x, y);
+    la::multiply_left(m, x, y);
     EXPECT_DOUBLE_EQ(y[0], 30.0);
     EXPECT_DOUBLE_EQ(y[1], 2.0);
 }
@@ -51,7 +51,7 @@ TEST(CsrMatrix, MultiplyRightMatchesManualComputation) {
     const la::CsrMatrix m = b.build();
     std::vector<double> x{1.0, 10.0};
     std::vector<double> y(2, 0.0);
-    m.multiply_right(x, y);  // M*x = [20, 3]
+    la::multiply_right(m, x, y);  // M*x = [20, 3]
     EXPECT_DOUBLE_EQ(y[0], 20.0);
     EXPECT_DOUBLE_EQ(y[1], 3.0);
 }
@@ -201,20 +201,63 @@ const char* mode_name(la::KernelMode mode) {
     return mode == la::KernelMode::Scalar ? "scalar" : "blocked";
 }
 
+/// The on-the-fly uniformised step, out = in * P with P = I + Q/lambda:
+/// off-diagonal in[i]*rate/lambda scattered in row order, then the retained
+/// mass in[i]*(1 - moved), skipping rows with in[i]==0.  uniformise() plus
+/// multiply_left must reproduce it bit for bit.
+void reference_uniformised_left(const la::CsrMatrix& rates, double lambda,
+                                std::span<const double> in, std::span<double> out) {
+    std::fill(out.begin(), out.end(), 0.0);
+    for (std::size_t i = 0; i < rates.rows(); ++i) {
+        const double p = in[i];
+        if (p == 0.0) continue;
+        const auto cols = rates.row_columns(i);
+        const auto vals = rates.row_values(i);
+        double moved = 0.0;
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            if (cols[k] == i) continue;
+            const double q = vals[k] / lambda;
+            out[cols[k]] += p * q;
+            moved += q;
+        }
+        out[i] += p * (1.0 - moved);
+    }
+}
+
+/// The column-vector form, next = P * cur, with the diagonal term
+/// (1 - moved)*cur[i] added last.
+void reference_uniformised_right(const la::CsrMatrix& rates, double lambda,
+                                 std::span<const double> cur, std::span<double> next) {
+    for (std::size_t i = 0; i < rates.rows(); ++i) {
+        const auto cols = rates.row_columns(i);
+        const auto vals = rates.row_values(i);
+        double moved = 0.0;
+        double sum = 0.0;
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            if (cols[k] == i) continue;
+            const double p = vals[k] / lambda;
+            sum += p * cur[cols[k]];
+            moved += p;
+        }
+        next[i] = sum + (1.0 - moved) * cur[i];
+    }
+}
+
 void expect_all_modes_identical(Specials specials) {
     const la::CsrMatrix m = edge_matrix();
     const std::size_t n = m.rows();
     const std::vector<double> x = edge_vector(n, specials);
     const double lambda = 3.5;
+    const la::CsrMatrix p = la::uniformise(m, lambda);
 
     std::vector<double> ref_left(n), ref_right(n), ref_uleft(n), ref_uright(n);
     {
         const KernelModeGuard guard(la::KernelMode::Scalar);
         la::multiply_left(m, x, ref_left);
         la::multiply_right(m, x, ref_right);
-        la::uniformised_multiply_left(m, lambda, x, ref_uleft);
-        la::uniformised_multiply_right(m, lambda, x, ref_uright);
     }
+    reference_uniformised_left(m, lambda, x, ref_uleft);
+    reference_uniformised_right(m, lambda, x, ref_uright);
 
     for (const la::KernelMode mode : kModes) {
         const KernelModeGuard guard(mode);
@@ -223,12 +266,14 @@ void expect_all_modes_identical(Specials specials) {
         EXPECT_TRUE(same_bits(y, ref_left)) << "multiply_left " << mode_name(mode);
         la::multiply_right(m, x, y);
         EXPECT_TRUE(same_bits(y, ref_right)) << "multiply_right " << mode_name(mode);
-        la::uniformised_multiply_left(m, lambda, x, y);
+        std::fill(y.begin(), y.end(), 0.5);
+        la::multiply_left(p, x, y);
         EXPECT_TRUE(same_bits(y, ref_uleft))
-            << "uniformised_multiply_left " << mode_name(mode);
-        la::uniformised_multiply_right(m, lambda, x, y);
+            << "multiply_left on uniformise() " << mode_name(mode);
+        std::fill(y.begin(), y.end(), 0.5);
+        la::multiply_right(p, x, y);
         EXPECT_TRUE(same_bits(y, ref_uright))
-            << "uniformised_multiply_right " << mode_name(mode);
+            << "multiply_right on uniformise() " << mode_name(mode);
     }
 }
 
@@ -244,6 +289,64 @@ TEST(Kernels, InfinitiesPropagateIdenticallyAcrossModes) {
 
 TEST(Kernels, NansPropagateIdenticallyAcrossModes) {
     expect_all_modes_identical(Specials::NaN);
+}
+
+TEST(Uniformise, RowsHoldScaledOffDiagonalsThenTheDiagonalLast) {
+    const la::CsrMatrix m = edge_matrix();
+    const double lambda = 3.5;
+    const la::CsrMatrix p = la::uniformise(m, lambda);
+    ASSERT_EQ(p.rows(), m.rows());
+    ASSERT_EQ(p.cols(), m.cols());
+    EXPECT_LE(p.nonzeros(), m.nonzeros() + m.rows());
+    std::size_t self_loops = 0;
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+        const auto rcols = m.row_columns(i);
+        const auto rvals = m.row_values(i);
+        const auto pcols = p.row_columns(i);
+        const auto pvals = p.row_values(i);
+        ASSERT_FALSE(pcols.empty()) << "row " << i;
+        // Off-diagonals in the rate matrix's order, self-loops dropped.
+        std::size_t j = 0;
+        double moved = 0.0;
+        for (std::size_t k = 0; k < rcols.size(); ++k) {
+            if (rcols[k] == i) {
+                ++self_loops;
+                continue;
+            }
+            ASSERT_LT(j + 1, pcols.size()) << "row " << i;
+            EXPECT_EQ(pcols[j], rcols[k]) << "row " << i;
+            EXPECT_TRUE(same_bits(pvals[j], rvals[k] / lambda)) << "row " << i;
+            moved += rvals[k] / lambda;
+            ++j;
+        }
+        // Then exactly one more entry: the diagonal 1 - sum(q), in row order.
+        ASSERT_EQ(pcols.size(), j + 1) << "row " << i;
+        EXPECT_EQ(pcols.back(), i) << "row " << i;
+        EXPECT_TRUE(same_bits(pvals.back(), 1.0 - moved)) << "row " << i;
+        if (rcols.empty()) EXPECT_EQ(pvals.back(), 1.0) << "empty row " << i;
+    }
+    EXPECT_GT(self_loops, 0u);  // edge_matrix() stores some diagonals
+    EXPECT_EQ(p.nonzeros(), m.nonzeros() - self_loops + m.rows());
+}
+
+TEST(Uniformise, EmptyAndSelfLoopOnlyRowsBecomeIdentityRows) {
+    la::CsrBuilder b(3, 3);
+    b.add(0, 0, 5.0);  // self-loop only
+    b.add(2, 1, 2.0);  // row 1 stays empty
+    const la::CsrMatrix p = la::uniformise(b.build(), 4.0);
+    ASSERT_EQ(p.nonzeros(), 4u);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+        const auto cols = p.row_columns(i);
+        ASSERT_EQ(cols.size(), 1u);
+        EXPECT_EQ(cols[0], i);
+        EXPECT_EQ(p.row_values(i)[0], 1.0);
+    }
+    const auto cols = p.row_columns(2);
+    ASSERT_EQ(cols.size(), 2u);
+    EXPECT_EQ(cols[0], 1u);
+    EXPECT_EQ(cols[1], 2u);
+    EXPECT_EQ(p.row_values(2)[0], 0.5);
+    EXPECT_EQ(p.row_values(2)[1], 0.5);
 }
 
 TEST(Kernels, GatherHelpersAgreeAcrossModes) {
