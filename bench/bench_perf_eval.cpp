@@ -3,7 +3,8 @@
 // line-2 reactive-modules translation, single-threaded so the numbers
 // isolate per-state evaluation cost), and the scalar vs blocked CSR kernels
 // on the matvec shapes the numeric core runs (distribution propagation and
-// backward gather on a uniformised matrix).  All comparisons are between
+// backward gather on a uniformised matrix), and the per-state CSRL reward
+// loop vs its tiled pass.  All comparisons are between
 // bitwise-identical computations — the speedup is pure evaluation
 // mechanics, never a numerics change (asserted by test_eval_rewire).
 //
@@ -26,12 +27,16 @@
 #include "expr/vm.hpp"
 #include "linalg/kernels.hpp"
 #include "modules/explorer.hpp"
+#include "prism/prism_parser.hpp"
+#include "prism/prism_writer.hpp"
+#include "rewards/rewards.hpp"
 #include "watertree/watertree.hpp"
 
 namespace core = arcade::core;
 namespace expr = arcade::expr;
 namespace linalg = arcade::linalg;
 namespace modules = arcade::modules;
+namespace rewards = arcade::rewards;
 namespace wt = arcade::watertree;
 
 namespace {
@@ -129,6 +134,57 @@ BENCHMARK_CAPTURE(BM_MatvecLeft, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_MatvecLeft, blocked, linalg::KernelMode::Blocked);
 BENCHMARK_CAPTURE(BM_MatvecRight, scalar, linalg::KernelMode::Scalar);
 BENCHMARK_CAPTURE(BM_MatvecRight, blocked, linalg::KernelMode::Blocked);
+
+// ---------------------------------------------------------------------------
+// Per-state CSRL rewards on the line-2 DED chain read back from its PRISM
+// text (512 states): R{"cost"}=? [ I=4.5 ] and [ C<=10 ] for every start
+// state, as the checker answers nested reward operators.  each_state_loop
+// is the reference — one forward transient per state — and tiled the
+// rewards::*_reward_from_each_state pass; their values are bitwise equal.
+// ---------------------------------------------------------------------------
+
+const modules::ExploredModel& ded_prism_chain() {
+    static const modules::ExploredModel model = [] {
+        const std::string text = arcade::prism::write_prism(line2_system("DED"));
+        modules::ExploreOptions options;
+        options.symmetry = arcade::engine::SymmetryPolicy::Off;  // the full 512 states
+        return modules::explore(arcade::prism::parse_prism(text), options);
+    }();
+    return model;
+}
+
+std::vector<double> each_state_loop(const arcade::ctmc::Ctmc& chain,
+                                    const rewards::RewardStructure& cost, bool accumulated,
+                                    double t) {
+    const std::size_t n = chain.state_count();
+    std::vector<double> values(n);
+    for (std::size_t s = 0; s < n; ++s) {
+        const auto init = arcade::ctmc::Ctmc::point_distribution(n, s);
+        values[s] = accumulated ? rewards::accumulated_reward(chain, init, cost, t)
+                                : rewards::instantaneous_reward(chain, init, cost, t);
+    }
+    return values;
+}
+
+void BM_PerStateReward(benchmark::State& state, bool tiled) {
+    bench::stamp_build_type(state);
+    const auto& model = ded_prism_chain();
+    const auto& cost = model.reward_structures.at("cost");
+    for (auto _ : state) {
+        const auto inst = tiled
+            ? rewards::instantaneous_reward_from_each_state(model.chain, cost, 4.5)
+            : each_state_loop(model.chain, cost, false, 4.5);
+        const auto acc = tiled
+            ? rewards::accumulated_reward_from_each_state(model.chain, cost, 10.0)
+            : each_state_loop(model.chain, cost, true, 10.0);
+        benchmark::DoNotOptimize(inst.data());
+        benchmark::DoNotOptimize(acc.data());
+    }
+    state.counters["states"] = static_cast<double>(model.chain.state_count());
+}
+
+BENCHMARK_CAPTURE(BM_PerStateReward, each_state_loop, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PerStateReward, tiled, true)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,6 +10,9 @@
 // Quantitative queries (=?) are evaluated against the chain's initial
 // distribution; boolean bounds compare that value.  Nested P/S/R operators
 // are supported by evaluating the inner query per state (satisfaction sets).
+// Per-state R[I=t] / R[C<=t] values come from one tiled forward pass
+// (rewards::*_reward_from_each_state), each bitwise equal to a forward
+// transient started in that state.
 #ifndef ARCADE_LOGIC_CSL_HPP
 #define ARCADE_LOGIC_CSL_HPP
 

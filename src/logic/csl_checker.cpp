@@ -191,20 +191,15 @@ Evaluated eval(const Context& ctx, const StateFormula& f) {
     ctmc::TransientOptions topt;
     topt.epsilon = ctx.epsilon;
 
-    std::vector<double> values(n, 0.0);
+    std::vector<double> values;
     if (const auto* inst = std::get_if<InstantaneousReward>(&reward.property)) {
-        for (std::size_t s = 0; s < n; ++s) {
-            const auto init = ctmc::Ctmc::point_distribution(n, s);
-            values[s] = rewards::instantaneous_reward(ctx.chain, init, structure, inst->time, topt);
-        }
+        values = rewards::instantaneous_reward_from_each_state(ctx.chain, structure,
+                                                               inst->time, topt);
     } else if (const auto* cum = std::get_if<CumulativeReward>(&reward.property)) {
-        for (std::size_t s = 0; s < n; ++s) {
-            const auto init = ctmc::Ctmc::point_distribution(n, s);
-            values[s] = rewards::accumulated_reward(ctx.chain, init, structure, cum->time, topt);
-        }
+        values = rewards::accumulated_reward_from_each_state(ctx.chain, structure,
+                                                             cum->time, topt);
     } else {
-        const double v = rewards::steady_state_reward(ctx.chain, structure);
-        values.assign(n, v);
+        values.assign(n, rewards::steady_state_reward(ctx.chain, structure));
     }
     if (reward.bound.comparison == Comparison::Query) {
         out.quantitative = true;

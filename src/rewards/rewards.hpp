@@ -59,6 +59,25 @@ private:
     const ctmc::Ctmc& chain, std::span<const double> initial, const RewardStructure& reward,
     std::span<const double> times, const ctmc::TransientOptions& options = {});
 
+/// E[rho(X_t) | X_0 = s] for every state s — the per-state values a nested
+/// CSRL R[I=t] operator needs.  Value `s` is, bit for bit,
+///   instantaneous_reward(chain, Ctmc::point_distribution(n, s), reward, t, options)
+/// under either linalg::KernelMode.  P = I + Q/λ and the Fox–Glynn weights
+/// are built once per call; 32 start states then advance together, so one
+/// sweep over P steps 32 forward transients.  The tile scratch (three n × 32
+/// blocks, 768 B per state) is borrowed from options.workspace when set.
+/// Throws like instantaneous_reward on a size mismatch or t < 0.
+[[nodiscard]] std::vector<double> instantaneous_reward_from_each_state(
+    const ctmc::Ctmc& chain, const RewardStructure& reward, double t,
+    const ctmc::TransientOptions& options = {});
+
+/// E[∫_0^t rho(X_u) du | X_0 = s] for every state s, with the same per-state
+/// bit contract (against accumulated_reward), tiling, scratch and
+/// preconditions as instantaneous_reward_from_each_state.
+[[nodiscard]] std::vector<double> accumulated_reward_from_each_state(
+    const ctmc::Ctmc& chain, const RewardStructure& reward, double t,
+    const ctmc::TransientOptions& options = {});
+
 /// Long-run average reward rate (steady-state weighted reward).
 [[nodiscard]] double steady_state_reward(const ctmc::Ctmc& chain,
                                          const RewardStructure& reward);

@@ -100,19 +100,36 @@ std::string paper_csv(linalg::KernelMode mode) {
 
 }  // namespace
 
-TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
-    for (const char* name : {"DED", "FRF-1", "FRF-2", "FFF-1", "FFF-2"}) {
-        for (int line = 1; line <= 2; ++line) {
-            const auto model = line == 1 ? wt::line1(wt::strategy(name))
-                                         : wt::line2(wt::strategy(name));
-            const auto system = core::to_reactive_modules(model);
-            const auto vm = explore_with(system, expr::EvalMode::Vm);
-            const auto interp = explore_with(system, expr::EvalMode::Interp);
-            expect_identical_chains(vm, interp,
-                                    std::string(name) + " line " + std::to_string(line));
-        }
-    }
+// One case per (strategy, line) model, so a parallel test run spreads the
+// line-1 individual translations (up to 111,809 states each) over workers.
+struct ModelCase {
+    const char* strategy;
+    int line;
+};
+
+class ExploreIdentity : public ::testing::TestWithParam<ModelCase> {};
+
+TEST_P(ExploreIdentity, InterpAndVmExploreIdenticalChains) {
+    const auto [name, line] = GetParam();
+    const auto model =
+        line == 1 ? wt::line1(wt::strategy(name)) : wt::line2(wt::strategy(name));
+    const auto system = core::to_reactive_modules(model);
+    const auto vm = explore_with(system, expr::EvalMode::Vm);
+    const auto interp = explore_with(system, expr::EvalMode::Interp);
+    expect_identical_chains(vm, interp, std::string(name) + " line " + std::to_string(line));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ExploreIdentity,
+    ::testing::Values(ModelCase{"DED", 1}, ModelCase{"FRF-1", 1}, ModelCase{"FRF-2", 1},
+                      ModelCase{"FFF-1", 1}, ModelCase{"FFF-2", 1}, ModelCase{"DED", 2},
+                      ModelCase{"FRF-1", 2}, ModelCase{"FRF-2", 2}, ModelCase{"FFF-1", 2},
+                      ModelCase{"FFF-2", 2}),
+    [](const ::testing::TestParamInfo<ModelCase>& info) {
+        std::string name = info.param.strategy;
+        name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+        return name + "_line" + std::to_string(info.param.line);
+    });
 
 TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {
     const auto system = core::to_reactive_modules(wt::line2(wt::strategy("FRF-1")));

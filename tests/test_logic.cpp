@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "arcade/modules_compiler.hpp"
 #include "ctmc/ctmc.hpp"
 #include "logic/csl.hpp"
+#include "modules/explorer.hpp"
+#include "prism/prism_parser.hpp"
+#include "prism/prism_writer.hpp"
 #include "support/errors.hpp"
 #include "watertree/properties.hpp"
+#include "watertree/watertree.hpp"
 
 namespace logic = arcade::logic;
 namespace ctmc = arcade::ctmc;
@@ -265,4 +271,40 @@ TEST(Csl, UnknownLabelAndRewardErrors) {
     EXPECT_THROW(logic::check(f.chain, "\"nonexistent\"", f.options), arcade::ModelError);
     EXPECT_THROW(logic::check(f.chain, "R{\"missing\"}=? [ S ]", f.options),
                  arcade::ModelError);
+}
+
+TEST(Csrl, PerStateRewardsMatchOneTransientPerState) {
+    // The line-2 DED chain read back from its PRISM text (512 states), as
+    // the modules workload checks it.  The checker's per-state R values must
+    // be bitwise those of one forward transient per start state.
+    namespace wt = arcade::watertree;
+    const auto system =
+        arcade::core::to_reactive_modules(wt::line2(wt::strategy("DED")));
+    arcade::modules::ExploreOptions explore;
+    explore.symmetry = arcade::engine::SymmetryPolicy::Off;
+    const auto model = arcade::modules::explore(
+        arcade::prism::parse_prism(arcade::prism::write_prism(system)), explore);
+    ASSERT_EQ(model.chain.state_count(), 512u);
+    logic::CheckerOptions options;
+    options.reward_structures = model.reward_structures;
+    const auto& cost = options.reward_structures.at("cost");
+    arcade::ctmc::TransientOptions topt;
+    topt.epsilon = options.epsilon;
+
+    const std::size_t n = model.chain.state_count();
+    for (const bool accumulated : {false, true}) {
+        const auto result = logic::check(
+            model.chain, accumulated ? "R{\"cost\"}=? [ C<=10 ]" : "R{\"cost\"}=? [ I=4.5 ]",
+            options);
+        ASSERT_EQ(result.values.size(), n);
+        for (std::size_t s = 0; s < n; ++s) {
+            const auto init = ctmc::Ctmc::point_distribution(n, s);
+            const double expected =
+                accumulated
+                    ? arcade::rewards::accumulated_reward(model.chain, init, cost, 10.0, topt)
+                    : arcade::rewards::instantaneous_reward(model.chain, init, cost, 4.5, topt);
+            EXPECT_EQ(std::memcmp(&result.values[s], &expected, sizeof expected), 0)
+                << (accumulated ? "C<=10" : "I=4.5") << " state " << s;
+        }
+    }
 }

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 
 #include "ctmc/ctmc.hpp"
+#include "linalg/kernels.hpp"
 #include "rewards/rewards.hpp"
 #include "support/errors.hpp"
 
@@ -18,6 +21,53 @@ ctmc::Ctmc two_state(double l, double m) {
     b.add(0, 1, l);
     b.add(1, 0, m);
     return ctmc::Ctmc(b.build(), {1.0, 0.0});
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Random chain on n states; with `absorbing`, state n-1 has no exits, and
+/// with `zero_rates` no state has any.
+ctmc::Ctmc random_chain(std::size_t n, std::mt19937& rng, bool absorbing, bool zero_rates) {
+    la::CsrBuilder b(n, n);
+    std::uniform_real_distribution<double> rate(0.05, 3.0);
+    std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+    if (!zero_rates) {
+        for (std::size_t s = 0; s + (absorbing ? 1 : 0) < n; ++s) {
+            for (int e = 0; e < 3; ++e) {
+                const std::size_t to = pick(rng);
+                if (to != s) b.add(s, to, rate(rng));
+            }
+        }
+    }
+    std::vector<double> init(n, 0.0);
+    init[0] = 1.0;
+    return ctmc::Ctmc(b.build(), init);
+}
+
+/// Reward rates with zeros and negatives mixed in.
+rw::RewardStructure mixed_rewards(std::size_t n, std::mt19937& rng) {
+    std::uniform_real_distribution<double> value(-2.0, 5.0);
+    std::vector<double> rates(n);
+    for (std::size_t s = 0; s < n; ++s) rates[s] = s % 4 == 1 ? 0.0 : value(rng);
+    return rw::RewardStructure("mixed", rates);
+}
+
+/// Every per-state value must be bitwise the single-distribution call on
+/// point_distribution(n, s).
+void expect_each_state_bitwise(const ctmc::Ctmc& chain, const rw::RewardStructure& reward,
+                               double t, const std::string& what) {
+    const std::size_t n = chain.state_count();
+    const auto inst = rw::instantaneous_reward_from_each_state(chain, reward, t);
+    const auto acc = rw::accumulated_reward_from_each_state(chain, reward, t);
+    ASSERT_EQ(inst.size(), n) << what;
+    ASSERT_EQ(acc.size(), n) << what;
+    for (std::size_t s = 0; s < n; ++s) {
+        const auto init = ctmc::Ctmc::point_distribution(n, s);
+        EXPECT_TRUE(same_bits(inst[s], rw::instantaneous_reward(chain, init, reward, t)))
+            << what << " instantaneous, state " << s;
+        EXPECT_TRUE(same_bits(acc[s], rw::accumulated_reward(chain, init, reward, t)))
+            << what << " accumulated, state " << s;
+    }
 }
 
 }  // namespace
@@ -130,4 +180,50 @@ TEST(Rewards, InstantaneousConvergesToSteadyState) {
     const double at_large_t =
         rw::instantaneous_reward(chain, chain.initial_distribution(), reward, 200.0);
     EXPECT_NEAR(at_large_t, rw::steady_state_reward(chain, reward), 1e-8);
+}
+
+TEST(Rewards, FromEachStateIsBitwiseThePointDistributionCall) {
+    // Sizes straddle the 32-state tile: one state, a partial tile, exactly
+    // one, one plus a state, and two plus a partial third.
+    for (const la::KernelMode mode : {la::KernelMode::Blocked, la::KernelMode::Scalar}) {
+        const la::KernelMode before = la::kernel_mode();
+        la::set_kernel_mode(mode);
+        std::mt19937 rng(7);
+        for (const std::size_t n : {1, 31, 32, 33, 67}) {
+            const std::string what = "n=" + std::to_string(n) + " mode=" +
+                                     std::to_string(static_cast<int>(mode));
+            const auto chain = random_chain(n, rng, /*absorbing=*/true, /*zero_rates=*/false);
+            const auto reward = mixed_rewards(n, rng);
+            // t = 0, a moderate time, and λt well above 400.
+            const double big_t = 450.0 / ctmc::uniformisation_rate(chain);
+            for (const double t : {0.0, 1.7, big_t}) {
+                expect_each_state_bitwise(chain, reward, t, what + " t=" + std::to_string(t));
+            }
+            const auto frozen = random_chain(n, rng, false, /*zero_rates=*/true);
+            for (const double t : {0.0, 2.5}) {
+                expect_each_state_bitwise(frozen, reward, t, what + " zero rates");
+            }
+        }
+        la::set_kernel_mode(before);
+    }
+}
+
+TEST(Rewards, FromEachStateKeepsThePreconditions) {
+    // The same ARCADE_ASSERTs as the single-distribution calls: both abort.
+    const auto chain = two_state(0.4, 1.1);
+    const auto init = chain.initial_distribution();
+    const rw::RewardStructure wrong_size("r", {1.0, 2.0, 3.0});
+    const rw::RewardStructure reward("r", {1.0, 2.0});
+    EXPECT_DEATH((void)rw::instantaneous_reward(chain, init, wrong_size, 1.0), "size mismatch");
+    EXPECT_DEATH((void)rw::instantaneous_reward_from_each_state(chain, wrong_size, 1.0),
+                 "size mismatch");
+    EXPECT_DEATH((void)rw::accumulated_reward(chain, init, wrong_size, 1.0), "size mismatch");
+    EXPECT_DEATH((void)rw::accumulated_reward_from_each_state(chain, wrong_size, 1.0),
+                 "size mismatch");
+    EXPECT_DEATH((void)rw::instantaneous_reward(chain, init, reward, -1.0), "negative time");
+    EXPECT_DEATH((void)rw::instantaneous_reward_from_each_state(chain, reward, -1.0),
+                 "negative time");
+    EXPECT_DEATH((void)rw::accumulated_reward(chain, init, reward, -1.0), "negative time");
+    EXPECT_DEATH((void)rw::accumulated_reward_from_each_state(chain, reward, -1.0),
+                 "negative time");
 }
